@@ -322,10 +322,12 @@ def linear_act(
     if act is not None:
         act[0](out)
 
+    need_x = x.requires_grad  # the first layer's input grad is dead work
+
     def backward(g: np.ndarray):
         if act is not None:
             g = act[1](out, g)
-        grad_x = g @ wd.T
+        grad_x = g @ wd.T if need_x else None
         grad_w = xd.T @ g
         if bias is None:
             return (grad_x, grad_w, None)
@@ -355,11 +357,13 @@ def _linear_act_amp(x: Tensor, weight: Tensor, bias, act, ac) -> Tensor:
         act[0](out)
     out = ac.snap_out(out)  # narrow storage (in place for bf16)
 
+    need_x = x.requires_grad
+
     def backward(g: np.ndarray):
         g = ac.to_compute(g)
         if act is not None:
             g = act[1](ac.to_compute(out), g)
-        grad_x = ac.snap_out(g @ wd.T)
+        grad_x = ac.snap_out(g @ wd.T) if need_x else None
         grad_w = xd.T @ g  # fp32 — applied to fp32 master weights
         if bias is None:
             return (grad_x, grad_w, None)
@@ -533,7 +537,7 @@ def conv1d(
         out2d = ac.snap_out(out2d)  # narrow storage
     out = out2d.reshape(c_out, n, l_out).transpose(1, 0, 2)  # view
 
-    x_shape = x.shape
+    x_shape, need_x = x.shape, x.requires_grad
 
     def backward(g: np.ndarray):
         if ac is not None:
@@ -542,6 +546,9 @@ def conv1d(
             g = act[1](out if ac is None else ac.to_compute(out), g)
         g2d = g.transpose(1, 0, 2).reshape(c_out, n * l_out)  # copy once
         grad_w = (g2d @ cols.T).reshape(c_out, c_in, k)
+        grad_b = g.sum(axis=(0, 2)) if bias is not None else None
+        if not need_x:  # input grad GEMM + scatter would be discarded
+            return (None, grad_w, grad_b)
         grad_cols = (w2.T @ g2d).reshape(c_in, k, n, l_out)
         grad_x_pad = np.zeros((n, c_in, length), dtype=g.dtype)
         # One strided slice += per kernel tap: within a tap the target
@@ -550,7 +557,6 @@ def conv1d(
         for kk in range(k):
             grad_x_pad[:, :, kk : kk + span : stride] += grad_cols[:, kk].transpose(1, 0, 2)
         grad_x = grad_x_pad[:, :, padding : length - padding] if padding > 0 else grad_x_pad
-        grad_b = g.sum(axis=(0, 2)) if bias is not None else None
         if ac is not None:
             grad_x = ac.snap(grad_x)  # activation grads narrow; w/b stay fp32
         return (grad_x.reshape(x_shape), grad_w, grad_b)
@@ -777,7 +783,7 @@ def conv2d(
         out2d = ac.snap_out(out2d)  # narrow storage
     out = out2d.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)  # view
 
-    x_shape = x.shape
+    x_shape, need_x = x.shape, x.requires_grad
 
     def backward(g: np.ndarray):
         if ac is not None:
@@ -786,6 +792,9 @@ def conv2d(
             g = act[1](out if ac is None else ac.to_compute(out), g)
         g2d = g.transpose(1, 0, 2, 3).reshape(c_out, n * h_out * w_out)  # copy once
         grad_w = (g2d @ cols.T).reshape(c_out, c_in, kh, kw)
+        grad_b = g.sum(axis=(0, 2, 3)) if bias is not None else None
+        if not need_x:  # input grad GEMM + scatter would be discarded
+            return (None, grad_w, grad_b)
         grad_cols = (w2.T @ g2d).reshape(c_in, kh, kw, n, h_out, w_out)
         grad_x_pad = np.zeros((n, c_in, h, w), dtype=g.dtype)
         # One strided slice += per kernel tap; stride-uniform targets
@@ -801,7 +810,6 @@ def conv2d(
             grad_x = grad_x_pad[:, :, padding : h - padding, padding : w - padding]
         else:
             grad_x = grad_x_pad
-        grad_b = g.sum(axis=(0, 2, 3)) if bias is not None else None
         if ac is not None:
             grad_x = ac.snap(grad_x)  # activation grads narrow; w/b stay fp32
         return (grad_x.reshape(x_shape), grad_w, grad_b)

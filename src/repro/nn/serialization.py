@@ -23,7 +23,12 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from .model import Model
-from .optim import Adam, Optimizer, RMSProp, SGD
+from .optim import Optimizer
+
+# On-disk key prefix per moment stream (``<prefix>_<param index:04d>``).
+# The Adam/RMSProp/SGD keys predate the flat optimizer arena, so older
+# checkpoints restore unchanged.
+_MOMENT_KEYS = {"m": "adam_m", "v": "adam_v", "sq": "rms_sq", "velocity": "sgd_v", "acc": "adagrad_acc"}
 
 
 def save_weights(model: Model, path: Union[str, Path], metadata: Optional[Dict] = None) -> None:
@@ -74,56 +79,29 @@ def _pack_optimizer(optimizer: Optional[Optimizer], arrays: Dict[str, np.ndarray
         opt_state["type"] = type(optimizer).__name__
         opt_state["lr"] = optimizer.lr
         opt_state["step_count"] = optimizer.step_count
-        params = optimizer.params
-        if isinstance(optimizer, Adam):
-            for i, p in enumerate(params):
-                if id(p) in optimizer._m:
-                    arrays[f"adam_m_{i:04d}"] = optimizer._m[id(p)]
-                    arrays[f"adam_v_{i:04d}"] = optimizer._v[id(p)]
-        elif isinstance(optimizer, RMSProp):
-            for i, p in enumerate(params):
-                if id(p) in optimizer._sq:
-                    arrays[f"rms_sq_{i:04d}"] = optimizer._sq[id(p)]
-        elif isinstance(optimizer, SGD) and optimizer.momentum:
-            for i, p in enumerate(params):
-                if id(p) in optimizer._velocity:
-                    arrays[f"sgd_v_{i:04d}"] = optimizer._velocity[id(p)]
+        for i, p in enumerate(optimizer.params):
+            for name, buf in optimizer.state(p).items():
+                arrays[f"{_MOMENT_KEYS[name]}_{i:04d}"] = buf
     return opt_state
 
 
 def _unpack_optimizer(optimizer: Optional[Optimizer], opt_state: Dict, data) -> None:
     """Restore optimizer moments saved by :func:`_pack_optimizer`.
 
-    The restore is *exact*: moments absent from the snapshot are cleared,
+    The restore is *exact*: moments absent from the snapshot are zeroed,
     not kept — a run restored to a pre-first-step snapshot must not carry
-    stale moments from the incarnation that died.
+    stale moments from the incarnation that died.  Each saved array is
+    copied into the parameter's slice of the optimizer's moment arena.
     """
     optimizer = unwrap_optimizer(optimizer)
     if optimizer is None or opt_state.get("type") != type(optimizer).__name__:
         return
     optimizer.lr = opt_state["lr"]
     optimizer.step_count = opt_state["step_count"]
-    params = optimizer.params
-    if isinstance(optimizer, Adam):
-        optimizer._m.clear()
-        optimizer._v.clear()
-        for i, p in enumerate(params):
-            key = f"adam_m_{i:04d}"
-            if key in data:
-                optimizer._m[id(p)] = data[key].copy()
-                optimizer._v[id(p)] = data[f"adam_v_{i:04d}"].copy()
-    elif isinstance(optimizer, RMSProp):
-        optimizer._sq.clear()
-        for i, p in enumerate(params):
-            key = f"rms_sq_{i:04d}"
-            if key in data:
-                optimizer._sq[id(p)] = data[key].copy()
-    elif isinstance(optimizer, SGD):
-        optimizer._velocity.clear()
-        for i, p in enumerate(params):
-            key = f"sgd_v_{i:04d}"
-            if key in data:
-                optimizer._velocity[id(p)] = data[key].copy()
+    for i, p in enumerate(optimizer.params):
+        for name, buf in optimizer.state(p).items():
+            key = f"{_MOMENT_KEYS[name]}_{i:04d}"
+            buf[...] = data[key] if key in data else 0
 
 
 def atomic_savez(path: Union[str, Path], arrays: Dict[str, np.ndarray]) -> Path:

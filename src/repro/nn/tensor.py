@@ -118,7 +118,7 @@ class Tensor:
         Optional label used in error messages and graph dumps.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "name")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "name", "_grad_slot")
 
     def __init__(
         self,
@@ -138,9 +138,17 @@ class Tensor:
         self._parents: Tuple[Tensor, ...] = tuple(parents) if self.requires_grad else ()
         self._backward_fn = backward_fn if self.requires_grad else None
         self.name = name
+        # View into an optimizer's gradient arena, set when an optimizer
+        # adopts this parameter; backward lands the leaf's grad there.
+        self._grad_slot: Optional[np.ndarray] = None
         if self._parents:
             global _TAPE_NODES
             _TAPE_NODES += 1
+
+    def __getstate__(self):
+        # The grad slot views one process's optimizer arena: pickling it
+        # would ship a dead copy of the gradient with every parameter.
+        return None, {k: None if k == "_grad_slot" else getattr(self, k) for k in self.__slots__}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -225,6 +233,17 @@ class Tensor:
         gradient communication (``repro.parallel.ddp``): buckets of
         parameters can start their allreduce while the rest of backward
         is still running.
+
+        Aliasing contract: for a parameter an optimizer has adopted
+        (:mod:`repro.nn.optim`; from its first step on), the first
+        contribution of a pass that starts with ``p.grad is None`` is
+        copied into the optimizer's gradient arena and ``p.grad`` is
+        that arena view.  It stays valid
+        until the next backward that follows ``zero_grad`` (which
+        overwrites the slot in place), so a reader that keeps a gradient
+        past that point must copy it; in-tree readers (autocast scaler,
+        precision policy, resilience runtime, obs grad-norm) read it at
+        once.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -286,10 +305,15 @@ class Tensor:
 
         def _finalize_leaf(leaf: "Tensor", g: np.ndarray) -> None:
             if leaf.grad is None:
-                # Leaves (params) get an owned copy so cross-step
-                # accumulation below can run in place; an owned buffer can
-                # be adopted as-is.
-                leaf.grad = g if id(leaf) in owned else g.copy()
+                slot = leaf._grad_slot
+                if slot is not None and slot.shape == g.shape and slot.dtype == g.dtype:
+                    # Adopted parameter: land in the optimizer's arena.
+                    np.copyto(slot, g)
+                    leaf.grad = slot
+                else:
+                    # Leaves get an owned copy so cross-step accumulation
+                    # below can run in place; an owned buffer is adopted.
+                    leaf.grad = g if id(leaf) in owned else g.copy()
             else:
                 # Accumulate into the existing (owned) leaf buffer without
                 # reallocating — the grad-accumulation hot path.

@@ -71,7 +71,7 @@ import numpy as np
 
 from ..nn import losses as losses_mod
 from ..nn.model import Model
-from ..nn.optim import Adam, Optimizer
+from ..nn.optim import Adam, Optimizer, arena_order
 from ..nn.tensor import Tensor
 from ..obs.context import get_recorder
 from .allreduce import (
@@ -154,31 +154,36 @@ class _TrainSpec:
     drop_last: bool = True
 
 
-def _param_layout(params) -> Tuple[List[Tuple[int, int, Tuple[int, ...]]], int]:
-    """(offset, size, shape) per parameter in one flat float64 vector,
-    plus the vector length (one trailing slot carries the batch loss)."""
+def _param_layout(params) -> Tuple[List, List[Tuple[int, int, Tuple[int, ...]]], int]:
+    """The optimizer's arena layout as one flat float64 vector: the
+    parameters in :func:`~repro.nn.optim.arena_order`, (offset, size,
+    shape) per parameter, and the vector length (one trailing slot
+    carries the batch loss).  Every rank's optimizer is built over the
+    same order, so ``Optimizer.gather_grads``/``scatter_grads`` move the
+    whole gradient with one slice copy per arena."""
+    params = arena_order(params)
     layout = []
     off = 0
     for p in params:
         layout.append((off, p.data.size, p.data.shape))
         off += p.data.size
-    return layout, off + 1
+    return params, layout, off + 1
 
 
-def _grads_into(model, loss_fn, params, layout, xb, yb, out_vec,
+def _grads_into(model, loss_fn, opt, xb, yb, out_vec,
                 sched: Optional["_GradBucketScheduler"] = None, step: int = 0) -> None:
     """One micro-batch forward/backward; pack grads + loss into out_vec.
 
-    Without a scheduler the gradients are packed after backward returns
-    (and the scheduler path packs the *same* floats — each hook reads
-    the finalised ``.grad``); with one, every parameter is packed the
+    Without a scheduler the gradients are packed after backward returns,
+    one slice copy out of the optimizer's gradient arena (and the
+    scheduler path packs the *same* floats — each hook reads the
+    finalised ``.grad``); with one, every parameter is packed the
     moment the tape finishes it, so completed buckets start
     communicating while backward is still running.  The loss lands in
     the trailing slot before backward — bucket 0 carries it and may
     ship mid-backward.
     """
-    for p in params:
-        p.grad = None
+    opt.zero_grad()
     target = xb if yb is None else yb
     loss = loss_fn(model.forward(Tensor(xb), training=True), target)
     if sched is not None:
@@ -188,18 +193,13 @@ def _grads_into(model, loss_fn, params, layout, xb, yb, out_vec,
         sched.finish_backward()
     else:
         loss.backward()
-        for p, (off, size, _) in zip(params, layout):
-            if p.grad is None:
-                out_vec[off:off + size] = 0.0
-            else:
-                out_vec[off:off + size] = p.grad.ravel()
+        opt.gather_grads(out_vec)
         out_vec[-1] = loss.item()
 
 
-def _apply_combined(params, layout, combined, opt) -> None:
-    """Point each param's grad at its slice of the averaged vector and step."""
-    for p, (off, size, shape) in zip(params, layout):
-        p.grad = combined[off:off + size].reshape(shape)
+def _apply_combined(opt, combined) -> None:
+    """Land the averaged vector in the optimizer's gradient arena and step."""
+    opt.scatter_grads(combined)
     opt.step()
 
 
@@ -409,9 +409,14 @@ def _epoch_batches(x, y, perm, steps, batch, micro, ranks, hook):
 
 
 def _make_optimizer(spec: _TrainSpec, params) -> Optimizer:
-    if spec.optimizer_factory is not None:
-        return spec.optimizer_factory(params)
-    return Adam(params, lr=spec.lr)
+    if spec.optimizer_factory is None:
+        return Adam(params, lr=spec.lr)
+    opt = spec.optimizer_factory(params)
+    # The flat gradient vector is the optimizer's arena: it must cover
+    # exactly ``params``, in this order.
+    if [id(p) for p in arena_order(opt.params)] != [id(p) for p in params]:
+        raise ValueError("optimizer_factory must optimize every parameter it is given, in order")
+    return opt
 
 
 def _restore_rng(state: dict) -> np.random.Generator:
@@ -427,7 +432,7 @@ def _epoch_steps(spec: _TrainSpec) -> Tuple[int, int]:
     return steps, tail
 
 
-def _tail_grads(model, loss_fn, params, layout, x, y, perm, steps, spec,
+def _tail_grads(model, loss_fn, opt, x, y, perm, steps, spec,
                 rank, out_vec, hook) -> None:
     """One rank's share of the ragged tail batch, pre-weighted.
 
@@ -446,8 +451,7 @@ def _tail_grads(model, loss_fn, params, layout, x, y, perm, steps, spec,
     lo, hi = chunk_bounds(tail, spec.world, rank)
     if hi > lo:
         idx = perm[steps * spec.batch_size + lo: steps * spec.batch_size + hi]
-        _grads_into(model, loss_fn, params, layout,
-                    x[idx], None if y is None else y[idx], out_vec)
+        _grads_into(model, loss_fn, opt, x[idx], None if y is None else y[idx], out_vec)
         out_vec *= (hi - lo) * spec.world / tail
     else:
         out_vec[:] = 0.0
@@ -479,11 +483,10 @@ def _train_rank(model, x, y, spec: _TrainSpec, rank: int,
     combined gradient is ``(sum over ranks in ascending order) *
     (1/world)`` — the exact float sequence the serial backend replays.
     """
-    params = list(model.parameters())
+    params, layout, total = _param_layout(model.parameters())
     loss_fn = losses_mod.get(spec.loss) if isinstance(spec.loss, str) else spec.loss
     opt = _make_optimizer(spec, params)
     rng = _restore_rng(spec.rng_state)
-    layout, total = _param_layout(params)
     buf = np.empty(total, dtype=np.float64)
     micro = spec.batch_size // spec.world
     steps, tail = _epoch_steps(spec)
@@ -514,8 +517,7 @@ def _train_rank(model, x, y, spec: _TrainSpec, rank: int,
                 batches = iter(PrefetchLoader(batches))
             loss_sum = 0.0
             for xb, yb in batches:
-                _grads_into(model, loss_fn, params, layout, xb, yb, buf,
-                            sched=sched, step=step_no)
+                _grads_into(model, loss_fn, opt, xb, yb, buf, sched=sched, step=step_no)
                 if sched is not None:
                     sched.wait_step()
                 elif reducer is not None:
@@ -523,11 +525,11 @@ def _train_rank(model, x, y, spec: _TrainSpec, rank: int,
                     reducer.allreduce(buf, stall_s=mono_stall)
                     mono_comm_s += time.perf_counter() - tc
                 buf *= inv_world
-                _apply_combined(params, layout, buf, opt)
+                _apply_combined(opt, buf)
                 loss_sum += buf[-1]
                 step_no += 1
             if tail:
-                _tail_grads(model, loss_fn, params, layout, x, y, perm, steps,
+                _tail_grads(model, loss_fn, opt, x, y, perm, steps,
                             spec, rank, buf, spec.pre_step_hook)
                 if sched is not None:
                     sched.flush_inline(buf, step_no)
@@ -536,7 +538,7 @@ def _train_rank(model, x, y, spec: _TrainSpec, rank: int,
                     reducer.allreduce(buf, stall_s=mono_stall)
                     mono_comm_s += time.perf_counter() - tc
                 buf *= inv_world
-                _apply_combined(params, layout, buf, opt)
+                _apply_combined(opt, buf)
                 loss_sum += buf[-1]
                 step_no += 1
             epoch_losses.append(loss_sum / max(steps + (1 if tail else 0), 1))
@@ -560,11 +562,10 @@ def _train_serial(model, x, y, spec: _TrainSpec) -> Tuple[List[float], List[floa
     :func:`reduce_ranks_bucketed` — the identical encode/decode and
     ascending accumulation the process engine performs on the slabs.
     """
-    params = list(model.parameters())
+    params, layout, total = _param_layout(model.parameters())
     loss_fn = losses_mod.get(spec.loss) if isinstance(spec.loss, str) else spec.loss
     opt = _make_optimizer(spec, params)
     rng = _restore_rng(spec.rng_state)
-    layout, total = _param_layout(params)
     world = spec.world
     rank_vecs = np.empty((world, total), dtype=np.float64)
     micro = spec.batch_size // world
@@ -597,22 +598,22 @@ def _train_serial(model, x, y, spec: _TrainSpec) -> Tuple[List[float], List[floa
         for _step in range(steps):
             for r in range(world):
                 xb, yb = next(batches)
-                _grads_into(model, loss_fn, params, layout, xb, yb, rank_vecs[r],
+                _grads_into(model, loss_fn, opt, xb, yb, rank_vecs[r],
                             sched=sched, step=step_no)
                 if sched is not None:
                     sched.wait_step()
             combined = combine()
             combined *= inv_world
-            _apply_combined(params, layout, combined, opt)
+            _apply_combined(opt, combined)
             loss_sum += combined[-1]
             step_no += 1
         if tail:
             for r in range(world):
-                _tail_grads(model, loss_fn, params, layout, x, y, perm, steps,
+                _tail_grads(model, loss_fn, opt, x, y, perm, steps,
                             spec, r, rank_vecs[r], spec.pre_step_hook)
             combined = combine()
             combined *= inv_world
-            _apply_combined(params, layout, combined, opt)
+            _apply_combined(opt, combined)
             loss_sum += combined[-1]
             step_no += 1
         epoch_losses.append(loss_sum / max(steps + (1 if tail else 0), 1))
@@ -748,8 +749,7 @@ def fit_data_parallel(
     rng = np.random.default_rng(seed)
     if not model.built:
         model.build(x.shape[1:], rng)
-    params = list(model.parameters())
-    layout, total = _param_layout(params)
+    _, layout, total = _param_layout(model.parameters())
 
     spec = _TrainSpec(
         model_bytes=pickle.dumps(model),

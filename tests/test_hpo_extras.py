@@ -177,8 +177,9 @@ class TestSerialization:
         assert opt2.lr == opt.lr
         assert opt2.step_count == opt.step_count
         # Adam moments restored for every parameter.
-        for p in m2.parameters():
-            assert id(p) in opt2._m
+        for p, q in zip(m.parameters(), m2.parameters()):
+            assert np.array_equal(opt2.state(q)["m"], opt.state(p)["m"])
+            assert np.array_equal(opt2.state(q)["v"], opt.state(p)["v"])
 
     def test_resume_training_continues_identically(self, trained_model, tmp_path):
         """Checkpoint/restore then train must match uninterrupted training."""
@@ -208,8 +209,8 @@ class TestSerialization:
         m2.build((3,), np.random.default_rng(9))
         opt2 = SGD(m2.parameters(), lr=0.01, momentum=0.9)
         load_checkpoint(m2, opt2, tmp_path / "sgd.npz")
-        for p in m2.parameters():
-            assert id(p) in opt2._velocity
+        for p, q in zip(m.parameters(), m2.parameters()):
+            assert np.array_equal(opt2.state(q)["velocity"], opt.state(p)["velocity"])
 
     def test_shape_mismatch_raises(self, trained_model, tmp_path):
         m, _, _, _ = trained_model

@@ -175,8 +175,8 @@ class TestTrainingStateSerialization:
         # Optimizer moments round-trip bit-exactly.
         assert clone_opt.step_count == opt.step_count
         for p, q in zip(opt.params, clone_opt.params):
-            assert np.array_equal(opt._m[id(p)], clone_opt._m[id(q)])
-            assert np.array_equal(opt._v[id(p)], clone_opt._v[id(q)])
+            assert np.array_equal(opt.state(p)["m"], clone_opt.state(q)["m"])
+            assert np.array_equal(opt.state(p)["v"], clone_opt.state(q)["v"])
 
     def test_rng_state_round_trip(self):
         rng = np.random.default_rng(123)

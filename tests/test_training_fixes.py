@@ -209,6 +209,9 @@ class TestScheduledOptimizerPassthrough:
         header = load_checkpoint(restored_model, restored, path)
         assert header["optimizer"]["type"] == "Adam"
         assert restored_inner.step_count == inner.step_count
-        assert len(restored_inner._m) == len(inner._m)
+        for p, q in zip(inner.params, restored_inner.params):
+            assert inner.state(p).keys() == restored_inner.state(q).keys() == {"m", "v"}
+            for name, buf in inner.state(p).items():
+                np.testing.assert_array_equal(restored_inner.state(q)[name], buf)
         for got, want in zip(restored_model.get_weights(), model.get_weights()):
             np.testing.assert_array_equal(got, want)
