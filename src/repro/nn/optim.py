@@ -11,6 +11,8 @@ stay in L2.  The sequences replicate the reference expressions
 factor-for-factor (commuting ``+``/``*`` pairs, never reassociating)
 and are elementwise, so blocking keeps every bit.  Only runs of
 parameters with a grad update: a grad-less one's moments stay frozen.
+:meth:`Optimizer.step_spans` runs the same loop over any flat spans of
+the arenas laid end to end; sharded DDP steps each rank's share with it.
 A parameter rebound since adoption (``astype``, autocast) fails a
 ``p.data is view`` check before the next step; the arenas are rebuilt
 and its moments carried across in the new dtype.
@@ -77,7 +79,15 @@ class Optimizer:
     """Base optimizer over a list of parameters.  A subclass names its
     per-element moment streams in ``_STATE`` and implements ``_update(p,
     grad, state, s1, s2)``: update one block of ``p`` in place given the
-    block's moments (``state``) and two scratch blocks."""
+    block's moments (``state``) and two scratch blocks.
+
+    The update must be elementwise over the arena: element ``i`` of the
+    result may read only element ``i`` of the parameter, gradient and
+    moments (plus scalars such as ``step_count``), never a block edge or
+    a neighbour.  Blocking relies on it, and so does sharded data
+    parallelism, where each rank updates arbitrary spans of the arena
+    through :meth:`step_spans`; a subclass that overrides :meth:`step`
+    breaks that silently, so ``fit_data_parallel`` rejects it."""
 
     _STATE: Tuple[str, ...] = ()
 
@@ -135,18 +145,50 @@ class Optimizer:
         for p in self.params:
             p.grad = None
 
+    def _pieces(self, lo: int, hi: int) -> List[Tuple[_Arena, int, int, int]]:
+        """The flat span ``[lo, hi)`` of the adopted arenas laid end to end
+        (the :func:`arena_order` layout) cut at arena edges: ``(arena, lo,
+        hi within it, the arena's flat offset)`` per arena it touches."""
+        pieces, off = [], 0
+        for a in self._arenas:
+            s, e = max(lo, off), min(hi, off + a.size)
+            if s < e:
+                pieces.append((a, s - off, e - off, off))
+            off += a.size
+        return pieces
+
+    def flat_views(self, lo: int, hi: int) -> List[Tuple[int, int, np.ndarray, np.ndarray]]:
+        """``(flo, fhi, values, grads)`` per arena the flat span ``[lo,
+        hi)`` touches: 1-D views of flat elements ``[flo, fhi)``."""
+        self._adopted()
+        return [(off + s, off + e, a.data[s:e], a.grad[s:e]) for a, s, e, off in self._pieces(lo, hi)]
+
     def step(self) -> None:
+        """Update every run of parameters that has a gradient."""
+        self._step_pieces([(a, lo, hi) for a in self._adopted() for lo, hi in a.runs()])
+
+    def step_spans(self, spans: Iterable[Tuple[int, int]]) -> None:
+        """One step over the flat ``[lo, hi)`` spans only, from the
+        gradients their slots hold.  A span may cross from one dtype arena
+        into the next.  The update is elementwise, so stepping any
+        partition of the elements is bit-identical to one :meth:`step`
+        over them."""
+        self._adopted()
+        self._step_pieces([(a, lo, hi) for span in spans for a, lo, hi, _ in self._pieces(*span)])
+
+    def _step_pieces(self, pieces: List[Tuple[_Arena, int, int]]) -> None:
+        """Advance ``step_count`` once; update each ``(arena, lo, hi)``
+        in ``BLOCK``-element blocks."""
         self.step_count += 1
-        for a in self._adopted():
+        for a, lo, hi in pieces:
             s1, s2, s3 = a.scratch
-            for lo, hi in a.runs():
-                for b0 in range(lo, hi, BLOCK):
-                    b1 = min(b0 + BLOCK, hi)
-                    n = b1 - b0
-                    p, g = a.data[b0:b1], a.grad[b0:b1]
-                    if self.weight_decay:  # grad + wd*p.data, staged: the grad stays untouched
-                        g = np.add(np.multiply(p, self.weight_decay, out=s3[:n]), g, out=s3[:n])
-                    self._update(p, g, [st[b0:b1] for st in a.state], s1[:n], s2[:n])
+            for b0 in range(lo, hi, BLOCK):
+                b1 = min(b0 + BLOCK, hi)
+                n = b1 - b0
+                p, g = a.data[b0:b1], a.grad[b0:b1]
+                if self.weight_decay:  # grad + wd*p.data, staged: the grad stays untouched
+                    g = np.add(np.multiply(p, self.weight_decay, out=s3[:n]), g, out=s3[:n])
+                self._update(p, g, [st[b0:b1] for st in a.state], s1[:n], s2[:n])
 
     def grad_norm(self) -> float:
         """Global L2 norm of all gradients (diagnostics / clipping)."""

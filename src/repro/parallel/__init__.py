@@ -15,7 +15,8 @@ layers, bottom-up:
   makes parallel training bit-identical to the serial reference
   (:class:`RankReducer`, :func:`reduce_ranks`), plus the bucketed
   double-buffered variant with selectable wire precision that backs
-  overlapped DDP (:class:`BucketRankReducer`, :func:`plan_buckets`,
+  overlapped DDP and its sharded optimizer step
+  (:class:`BucketRankReducer`, :func:`plan_buckets`,
   :func:`reduce_ranks_bucketed`, ``wire_dtype in WIRE_DTYPES``).
 * :mod:`repro.parallel.ddp` / :mod:`repro.parallel.executor` — the two
   user-facing drivers: :func:`fit_data_parallel` (real data-parallel

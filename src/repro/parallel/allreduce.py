@@ -21,13 +21,16 @@ Two engines share that contract:
 
 * :class:`RankReducer` — the monolithic 3-barrier allreduce (one slab,
   one call per step covering the whole gradient vector).
-* :class:`BucketRankReducer` — the bucketed, double-buffered engine:
-  the vector is partitioned into size-targeted spans
-  (:func:`plan_buckets`, reverse layout order so the spans match the
-  order backward produces gradients), each bucket reduces through its
-  own per-parity barrier pair, and the two slab generations alternate
-  by step parity so the trailing "republish" barrier disappears from
-  the steady state (2 barriers per bucket per step instead of 3).
+* :class:`BucketRankReducer` — the bucketed, double-buffered engine
+  behind the sharded optimizer step: the vector is partitioned into
+  size-targeted spans (:func:`plan_buckets`, reverse layout order so
+  the spans match the order backward produces gradients), each bucket
+  publishes through its own per-parity barrier and every rank reduces
+  only the chunks it owns.  Gradients are never copied back: the owner
+  updates its chunks' parameters and writes them over its reduced sums,
+  and one per-step parameter barrier republishes the whole slab (one
+  barrier per bucket plus one per step, instead of 3 per step).  The
+  two slab generations alternate by step parity.
   Contributions cross the slab in a selectable **wire dtype**
   (``float64`` | ``float32`` | ``bf16`` stored as uint16); decoding is
   value-exact widening, and accumulation always runs in float64 in
@@ -358,18 +361,19 @@ class BucketAllreduceHandle:
     """Parent-built, rank-shipped state for one bucketed allreduce group.
 
     Two slab generations (index = step parity) and, per generation, a
-    (publish, reduce-done) barrier pair per bucket.  Like
+    publish barrier per bucket and one parameter barrier.  Like
     :class:`AllreduceHandle` it pickles through process inheritance.
     """
 
     def __init__(self, world: int, plan: BucketPlan, wire_dtype: str,
-                 in_refs, out_refs, barriers) -> None:
+                 in_refs, out_refs, barriers, param_barriers) -> None:
         self.world = world
         self.plan = plan
         self.wire_dtype = wire_dtype
         self.in_refs = in_refs    # [parity] -> (world, n) wire-storage slab
         self.out_refs = out_refs  # [parity] -> (n,) float64 slab
-        self.barriers = barriers  # [parity][bucket] -> (publish, reduced)
+        self.barriers = barriers  # [parity][bucket] -> publish barrier
+        self.param_barriers = param_barriers  # [parity] -> parameter barrier
 
 
 def create_bucketed_allreduce(
@@ -379,7 +383,8 @@ def create_bucketed_allreduce(
     plan: BucketPlan,
     wire_dtype: str = "float64",
 ) -> BucketAllreduceHandle:
-    """Allocate double-buffered slabs + per-(parity, bucket) barriers."""
+    """Allocate double-buffered slabs, per-(parity, bucket) publish
+    barriers and per-parity parameter barriers."""
     if world < 1:
         raise ValueError("world must be >= 1")
     _check_wire(wire_dtype)
@@ -390,24 +395,40 @@ def create_bucketed_allreduce(
         store.allocate(f"bucket_out{parity}", (plan.n,), np.float64)
         in_refs.append(store.ref(f"bucket_in{parity}"))
         out_refs.append(store.ref(f"bucket_out{parity}"))
-    barriers = [
-        [(ctx.Barrier(world), ctx.Barrier(world)) for _ in plan.spans]
-        for _ in (0, 1)
-    ]
-    return BucketAllreduceHandle(world, plan, wire_dtype, in_refs, out_refs, barriers)
+    barriers = [[ctx.Barrier(world) for _ in plan.spans] for _ in (0, 1)]
+    param_barriers = [ctx.Barrier(world) for _ in (0, 1)]
+    return BucketAllreduceHandle(world, plan, wire_dtype, in_refs, out_refs,
+                                 barriers, param_barriers)
 
 
 class BucketRankReducer:
     """Per-rank endpoint of the bucketed, double-buffered allreduce.
 
-    ``allreduce_bucket(bucket, vec, step)`` ships one bucket's slice of
-    ``vec``; callers issue buckets in schedule order and pass the global
-    step index, whose parity selects the slab generation.  Two barriers
-    sequence each bucket (publish-done, reduce-done); there is **no**
-    trailing republish barrier — reusing a generation at step ``t+2``
-    is safe because a rank reaches that publish only after passing step
-    ``t+1``'s barriers for the same bucket, which every rank can only do
-    after finishing its step-``t`` copy-out (program order).
+    One step at global index ``step`` (its parity selects the slab
+    generation) runs in three phases:
+
+    1. ``allreduce_bucket(bucket, vec, step)`` per bucket, in schedule
+       order: publish the bucket's slice of ``vec``, wait on the
+       bucket's publish barrier, and sum the rank's own chunk
+       (:attr:`chunks`) into the out slab.  ``vec`` is left untouched.
+    2. The rank reads its reduced chunks from :meth:`out_slab` and
+       overwrites them with its updated parameters; no other rank reads
+       or writes those elements in this phase.
+    3. :meth:`param_barrier` — after it, every element of the out slab
+       holds a parameter (or the reduced loss slot) and each rank copies
+       the whole slab out.
+
+    Reusing a generation at step ``t+2`` is safe by program order.  A
+    rank writes the step-``t+2`` slabs (its input row on publish, its
+    chunks' sums after the publish barrier) only after passing step
+    ``t+1``'s parameter barrier.  Every rank arrives there only after
+    finishing step ``t`` completely: its chunk reductions (which read
+    the step-``t`` input slab) come before step ``t``'s parameter
+    barrier, and its copy out of the step-``t`` out slab comes right
+    after it, before any step-``t+1`` work.  There is no per-bucket
+    "reduced" barrier and no gradient copy-back: with one, a rank
+    publishing parameters into its chunks would race a peer still
+    copying the reduced gradients out of the same slab.
     """
 
     def __init__(self, handle: BucketAllreduceHandle, rank: int) -> None:
@@ -418,6 +439,7 @@ class BucketRankReducer:
         self.plan = handle.plan
         self.wire_dtype = handle.wire_dtype
         self._barriers = handle.barriers
+        self._param_barriers = handle.param_barriers
         self._in_atts = [AttachedArray(r) for r in handle.in_refs]
         self._out_atts = [AttachedArray(r) for r in handle.out_refs]
         self._ins = [a.array for a in self._in_atts]    # (world, n) wire storage
@@ -425,7 +447,7 @@ class BucketRankReducer:
         # Chunk ownership is per bucket: each bucket's span is split
         # across ranks so its reduction parallelises like the monolithic
         # engine's.
-        self._chunks = [
+        self.chunks = [
             (lo + cl, lo + ch)
             for (lo, hi) in self.plan.spans
             for (cl, ch) in (chunk_bounds(hi - lo, self.world, rank),)
@@ -433,7 +455,8 @@ class BucketRankReducer:
 
     def allreduce_bucket(self, bucket: int, vec: np.ndarray, step: int,
                          stall_s: float = 0.0) -> None:
-        """Sum one bucket's slice of ``vec`` across ranks, in place.
+        """Publish one bucket's slice of ``vec``; sum this rank's chunk of
+        it across ranks into the step's out slab.
 
         ``stall_s`` is the post-publish wire-transfer stall (see
         :meth:`RankReducer.allreduce`) for this bucket's bytes.
@@ -442,22 +465,23 @@ class BucketRankReducer:
             return
         parity = step & 1
         lo, hi = self.plan.spans[bucket]
-        publish, reduced = self._barriers[parity][bucket]
-        in_slab, out_slab = self._ins[parity], self._outs[parity]
+        in_slab = self._ins[parity]
         encode_wire(vec[lo:hi], self.wire_dtype, in_slab[self.rank, lo:hi])
-        publish.wait()
+        self._barriers[parity][bucket].wait()
         if stall_s > 0.0:
             time.sleep(stall_s)
-        clo, chi = self._chunks[bucket]
+        clo, chi = self.chunks[bucket]
         if chi > clo:
-            accumulate_rows(in_slab[:, clo:chi], self.wire_dtype, out_slab[clo:chi])
-        reduced.wait()
-        vec[lo:hi] = out_slab[lo:hi]
+            accumulate_rows(in_slab[:, clo:chi], self.wire_dtype, self._outs[parity][clo:chi])
 
-    def allreduce(self, vec: np.ndarray, step: int) -> None:
-        """All buckets of one step, inline in schedule order."""
-        for b in range(self.plan.n_buckets):
-            self.allreduce_bucket(b, vec, step)
+    def out_slab(self, step: int) -> np.ndarray:
+        """Step ``step``'s float64 out slab (see the class docstring)."""
+        return self._outs[step & 1]
+
+    def param_barrier(self, step: int) -> None:
+        """Wait until every rank has written its chunks of step
+        ``step``'s out slab."""
+        self._param_barriers[step & 1].wait()
 
     def close(self) -> None:
         self._ins = []

@@ -5,9 +5,15 @@ step, every rank draws the *same* global-batch permutation slice (the
 data-order RNG is replicated bit-for-bit into every rank), computes
 gradients on its ``batch_size / world`` micro-batch, and the gradients
 are averaged through the deterministic shared-memory allreduce of
-:mod:`repro.parallel.allreduce`.  All ranks then apply the identical
-averaged gradient with identical optimizer state, so replica weights
-never diverge — standard DDP, actually running on processes.
+:mod:`repro.parallel.allreduce`.  With the default bucketed engine the
+optimizer step is sharded (ZeRO stage 1): each rank updates only the
+chunks of the flat vector it reduced, holding optimizer state for
+those elements alone, writes the new parameters over its reduced
+sums in the shared out slab, and after one parameter barrier every
+rank copies the whole slab into its weights.  The update is
+elementwise, so the replicas stay bit-identical to one optimizer
+stepping the averaged gradient — standard DDP, actually running on
+processes.
 
 Two backends, one contract:
 
@@ -41,7 +47,8 @@ Gradient communication itself has two shapes (``comm=``):
   (:func:`~repro.parallel.allreduce.reduce_ranks_bucketed`) stays
   bit-identical at every wire precision.
 * ``"monolithic"`` — the original single 3-barrier allreduce over the
-  whole flat vector after backward (float64 wire only); kept as the
+  whole flat vector after backward (float64 wire only), after which
+  every rank runs the full optimizer step on its copy; kept as the
   measured baseline for ``benchmarks/bench_ddp_overlap.py``.
 
 ``pre_step_hook(rank, step)`` runs during micro-batch assembly — the
@@ -103,7 +110,9 @@ class DataParallelResult:
     gradient-communication engine actually did: per-bucket spans and
     cumulative comm seconds, total vs *exposed* comm time (exposed =
     main thread blocked after backward), the derived overlap fraction,
-    and bytes-on-wire per step.
+    bytes-on-wire per step, the seconds spent in the optimizer step
+    (``optim_s``) and blocked on the parameter barrier
+    (``param_wait_s``; always 0 for the monolithic engine).
     """
 
     world: int
@@ -229,7 +238,8 @@ class _GradBucketScheduler:
     blocked for it, and ``comm_chain_s`` is the wall span of each step's
     comm chain (first bucket dispatched to last bucket reduced) — the
     overlap fraction is the share of that span hidden under backward,
-    ``1 - exposed / chain``.
+    ``1 - exposed / chain``.  ``optim_s`` and ``param_wait_s`` time
+    :meth:`sharded_step` outside and inside the parameter barrier.
     """
 
     def __init__(self, plan: BucketPlan, params, layout,
@@ -251,6 +261,8 @@ class _GradBucketScheduler:
         self.total_comm_s = 0.0
         self.exposed_wait_s = 0.0
         self.comm_chain_s = 0.0
+        self.optim_s = 0.0
+        self.param_wait_s = 0.0
         self.bucket_comm_s = [0.0] * plan.n_buckets
         self._t_first = 0.0
         self._thread: Optional[threading.Thread] = None
@@ -325,6 +337,36 @@ class _GradBucketScheduler:
             self.exposed_wait_s += dt
             self.comm_chain_s += dt
 
+    def sharded_step(self, opt: Optimizer, step: int) -> float:
+        """This rank's share of the optimizer step, then every rank's
+        parameters; returns the step's averaged loss.
+
+        Each owned chunk of the reduced sums is scaled by ``1/world`` and
+        cast into the gradient arena (the float sequence ``buf *=
+        1/world`` then ``scatter_grads`` applies), stepped, and
+        overwritten with its new parameters.  After the parameter barrier
+        the out slab holds every parameter and the summed loss.
+        """
+        t0 = time.perf_counter()
+        red = self._reducer
+        out = red.out_slab(step)
+        inv_world = 1.0 / red.world
+        for lo, hi in red.chunks:  # flat_views stops short of the loss slot
+            for flo, fhi, _, grad in opt.flat_views(lo, hi):
+                np.multiply(out[flo:fhi], inv_world, out=grad)
+        opt.step_spans(red.chunks)
+        for lo, hi in red.chunks:
+            for flo, fhi, data, _ in opt.flat_views(lo, hi):
+                out[flo:fhi] = data
+        t1 = time.perf_counter()
+        red.param_barrier(step)
+        t2 = time.perf_counter()
+        for flo, fhi, data, _ in opt.flat_views(0, out.size):
+            data[...] = out[flo:fhi]
+        self.param_wait_s += t2 - t1
+        self.optim_s += (t1 - t0) + (time.perf_counter() - t2)
+        return out[-1] * inv_world
+
     def stats(self, world: int, steps: int) -> Dict:
         total, exposed = self.total_comm_s, self.exposed_wait_s
         chain = self.comm_chain_s
@@ -343,6 +385,8 @@ class _GradBucketScheduler:
             "wire_bytes_per_step": int(world * self.plan.wire_bytes(wire)),
             "bucket_spans": [[int(lo), int(hi)] for lo, hi in self.plan.spans],
             "bucket_comm_s": [float(t) for t in self.bucket_comm_s],
+            "optim_s": float(self.optim_s),
+            "param_wait_s": float(self.param_wait_s),
         }
 
     def close(self) -> None:
@@ -412,6 +456,11 @@ def _make_optimizer(spec: _TrainSpec, params) -> Optimizer:
     if spec.optimizer_factory is None:
         return Adam(params, lr=spec.lr)
     opt = spec.optimizer_factory(params)
+    # Each rank steps only its own spans of the arena (step_spans); an
+    # overridden step() would be bypassed without notice.
+    if type(opt).step is not Optimizer.step:
+        raise ValueError(f"{type(opt).__name__} overrides Optimizer.step; sharded data "
+                         "parallelism needs an elementwise _update over the arena")
     # The flat gradient vector is the optimizer's arena: it must cover
     # exactly ``params``, in this order.
     if [id(p) for p in arena_order(opt.params)] != [id(p) for p in params]:
@@ -457,7 +506,8 @@ def _tail_grads(model, loss_fn, opt, x, y, perm, steps, spec,
         out_vec[:] = 0.0
 
 
-def _monolithic_stats(world: int, total: int, steps: int, comm_s: float) -> Dict:
+def _monolithic_stats(world: int, total: int, steps: int, comm_s: float,
+                      optim_s: float) -> Dict:
     """Comm report for the baseline engine: one bucket, fully exposed."""
     return {
         "comm": "monolithic",
@@ -472,6 +522,8 @@ def _monolithic_stats(world: int, total: int, steps: int, comm_s: float) -> Dict
         "wire_bytes_per_step": int(world * total * 8),
         "bucket_spans": [[0, int(total)]],
         "bucket_comm_s": [float(comm_s)],
+        "optim_s": float(optim_s),
+        "param_wait_s": 0.0,
     }
 
 
@@ -482,6 +534,9 @@ def _train_rank(model, x, y, spec: _TrainSpec, rank: int,
     Returns (epoch mean losses, epoch wall times, comm stats).  The
     combined gradient is ``(sum over ranks in ascending order) *
     (1/world)`` — the exact float sequence the serial backend replays.
+    The bucketed engine steps it sharded
+    (:meth:`_GradBucketScheduler.sharded_step`); the monolithic one
+    steps the whole vector on every rank.
     """
     params, layout, total = _param_layout(model.parameters())
     loss_fn = losses_mod.get(spec.loss) if isinstance(spec.loss, str) else spec.loss
@@ -493,16 +548,27 @@ def _train_rank(model, x, y, spec: _TrainSpec, rank: int,
     inv_world = 1.0 / spec.world
     sched = None
     if spec.comm == "bucketed":
-        plan = (reducer.plan if isinstance(reducer, BucketRankReducer)
-                else plan_buckets([sz for _, sz, _ in layout], total, spec.bucket_bytes))
         sched = _GradBucketScheduler(
-            plan, params, layout,
-            reducer if isinstance(reducer, BucketRankReducer) else None,
-            spec.wire_dtype, overlap=spec.overlap,
-            stall_s_per_mib=spec.comm_stall_s_per_mib,
+            reducer.plan, params, layout, reducer, spec.wire_dtype,
+            overlap=spec.overlap, stall_s_per_mib=spec.comm_stall_s_per_mib,
         )
     mono_stall = spec.comm_stall_s_per_mib * total * 8 / 2**20
-    mono_comm_s = 0.0
+    mono_comm_s = mono_optim_s = 0.0
+
+    def finish_step(step: int) -> float:
+        """Reduce, step the optimizer; the step's averaged loss."""
+        nonlocal mono_comm_s, mono_optim_s
+        if sched is not None:
+            return sched.sharded_step(opt, step)
+        tc = time.perf_counter()
+        reducer.allreduce(buf, stall_s=mono_stall)
+        to = time.perf_counter()
+        np.multiply(buf, inv_world, out=buf)
+        _apply_combined(opt, buf)
+        mono_comm_s += to - tc
+        mono_optim_s += time.perf_counter() - to
+        return buf[-1]
+
     step_no = 0
     epoch_losses: List[float] = []
     epoch_times: List[float] = []
@@ -520,26 +586,14 @@ def _train_rank(model, x, y, spec: _TrainSpec, rank: int,
                 _grads_into(model, loss_fn, opt, xb, yb, buf, sched=sched, step=step_no)
                 if sched is not None:
                     sched.wait_step()
-                elif reducer is not None:
-                    tc = time.perf_counter()
-                    reducer.allreduce(buf, stall_s=mono_stall)
-                    mono_comm_s += time.perf_counter() - tc
-                buf *= inv_world
-                _apply_combined(opt, buf)
-                loss_sum += buf[-1]
+                loss_sum += finish_step(step_no)
                 step_no += 1
             if tail:
                 _tail_grads(model, loss_fn, opt, x, y, perm, steps,
                             spec, rank, buf, spec.pre_step_hook)
                 if sched is not None:
                     sched.flush_inline(buf, step_no)
-                elif reducer is not None:
-                    tc = time.perf_counter()
-                    reducer.allreduce(buf, stall_s=mono_stall)
-                    mono_comm_s += time.perf_counter() - tc
-                buf *= inv_world
-                _apply_combined(opt, buf)
-                loss_sum += buf[-1]
+                loss_sum += finish_step(step_no)
                 step_no += 1
             epoch_losses.append(loss_sum / max(steps + (1 if tail else 0), 1))
             epoch_times.append(time.perf_counter() - t0)
@@ -549,7 +603,7 @@ def _train_rank(model, x, y, spec: _TrainSpec, rank: int,
     if sched is not None:
         stats = sched.stats(spec.world, step_no)
     else:
-        stats = _monolithic_stats(spec.world, total, step_no, mono_comm_s)
+        stats = _monolithic_stats(spec.world, total, step_no, mono_comm_s, mono_optim_s)
     return epoch_losses, epoch_times, stats
 
 
@@ -801,6 +855,8 @@ def fit_data_parallel(
                     lo=span[0], hi=span[1], wire_dtype=stats["wire_dtype"],
                     wire_bytes_per_step=(span[1] - span[0]) * itemsize * world,
                 )
+            rec.add_complete("optim", kind="ddp.optim", dur_wall=stats["optim_s"],
+                             param_wait_s=stats["param_wait_s"])
             rec.metrics.gauge("ddp.overlap_fraction").set(stats["overlap_fraction"])
         rec.end(span_id, elapsed_s=elapsed, final_loss=losses[-1])
     return DataParallelResult(

@@ -9,15 +9,17 @@ float sequence, and the ragged-tail handling is explicit rather than
 silent.
 """
 
+import functools
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.nn import Dense, Sequential
+from repro.nn import SGD, AdaGrad, Adam, Dense, RMSProp, Sequential
 from repro.obs import TraceRecorder
 from repro.parallel import (
     accumulate_rows,
+    chunk_bounds,
     decode_wire,
     encode_wire,
     fit_data_parallel,
@@ -41,6 +43,28 @@ def make_regression(n=96, d=6, seed=0):
 def make_net(width=8, depth=2):
     return Sequential([Dense(width, activation="tanh")
                        for _ in range(depth)] + [Dense(1)])
+
+
+def make_bottleneck_net():
+    """On 1-feature inputs, parameter sizes 1, 1, 32, 32, 32, 1: at
+    ``bucket_bytes=256`` (32 float64 slots) the plan ends in a 2-element
+    head bucket, of which a third rank owns an empty chunk."""
+    return Sequential([Dense(1, activation="tanh"), Dense(32, activation="tanh"), Dense(1)])
+
+
+# Module-level partials, so they also pickle under spawn.
+OPTIMIZER_FACTORIES = {
+    "sgd-momentum": functools.partial(SGD, lr=0.05, momentum=0.9),
+    "sgd-nesterov": functools.partial(SGD, lr=0.05, momentum=0.9, nesterov=True),
+    "rmsprop": functools.partial(RMSProp, lr=0.01),
+    "adagrad": functools.partial(AdaGrad, lr=0.05),
+    "adam-wd": functools.partial(Adam, lr=0.01, weight_decay=0.01),
+}
+
+
+class _StepOverride(SGD):
+    def step(self) -> None:
+        super().step()
 
 
 def weights_diff(a, b):
@@ -339,6 +363,60 @@ class TestBucketedEngineParity:
         n = stats["bucket_spans"][0][1]  # bucket 0 covers the tail
         assert stats["wire_bytes_per_step"] == 2 * n * 4
         assert 0.0 <= stats["overlap_fraction"] <= 1.0
+        assert stats["optim_s"] >= 0.0
+        assert stats["param_wait_s"] >= 0.0
+
+
+# ----------------------------------------------------------------------
+# Sharded optimizer step
+# ----------------------------------------------------------------------
+class TestShardedStepParity:
+    """Each process rank steps only the chunks it reduces and republishes
+    parameters; the serial backend steps the whole averaged vector.  The
+    two must agree bit for bit for every optimizer, wire and chunking."""
+
+    def test_plan_has_uneven_and_empty_chunks(self):
+        net = make_bottleneck_net()
+        net.build((1,), np.random.default_rng(0))
+        sizes = [p.data.size for p in net.parameters()]
+        plan = plan_buckets(sizes, total=sum(sizes) + 1, bucket_bytes=256)
+        lens = [hi - lo for blo, bhi in plan.spans
+                for lo, hi in (chunk_bounds(bhi - blo, 3, r) for r in range(3))]
+        assert 0 in lens
+        assert len(set(lens) - {0}) > 1
+
+    @pytest.mark.parametrize("wd", WIRE_DTYPES)
+    @pytest.mark.parametrize("name", sorted(OPTIMIZER_FACTORIES))
+    def test_world3_ragged_tail_bit_identical_to_serial(self, name, wd):
+        # 98 samples at batch 24: 4 full steps and a 2-sample tail, which
+        # leaves the third rank's tail share empty too.
+        x, y = make_regression(n=98, d=1)
+        m_proc, m_ser = make_bottleneck_net(), make_bottleneck_net()
+        kwargs = dict(world=3, epochs=2, batch_size=24, seed=4, drop_last=False,
+                      bucket_bytes=256, wire_dtype=wd,
+                      optimizer_factory=OPTIMIZER_FACTORIES[name])
+        r_proc = fit_data_parallel(m_proc, x, y, backend="process", **kwargs)
+        r_ser = fit_data_parallel(m_ser, x, y, backend="serial", **kwargs)
+        assert r_proc.steps_per_epoch == 5
+        assert weights_diff(m_proc, m_ser) == 0.0
+        assert r_proc.epoch_losses == r_ser.epoch_losses
+
+    def test_spawn_bit_identical_to_serial(self):
+        x, y = make_regression()
+        m_proc, m_ser = make_net(), make_net()
+        kwargs = dict(world=2, epochs=1, batch_size=16, seed=4, bucket_bytes=256,
+                      optimizer_factory=OPTIMIZER_FACTORIES["adam-wd"])
+        r_proc = fit_data_parallel(m_proc, x, y, backend="process",
+                                   start_method="spawn", **kwargs)
+        r_ser = fit_data_parallel(m_ser, x, y, backend="serial", **kwargs)
+        assert weights_diff(m_proc, m_ser) == 0.0
+        assert r_proc.epoch_losses == r_ser.epoch_losses
+
+    def test_optimizer_overriding_step_rejected(self):
+        x, y = make_regression()
+        with pytest.raises(ValueError, match="overrides Optimizer.step"):
+            fit_data_parallel(make_net(), x, y, world=2, epochs=1, batch_size=16,
+                              backend="serial", optimizer_factory=_StepOverride)
 
 
 # ----------------------------------------------------------------------
@@ -415,3 +493,5 @@ class TestOverlapObs:
         names = {r["name"] for r in rec.metrics.snapshot()}
         assert "ddp.overlap_fraction" in names
         assert rec.spans(kind="ddp.bucket"), "per-bucket spans must be recorded"
+        (optim,) = rec.spans(kind="ddp.optim")
+        assert optim["dur_wall"] >= 0.0 and optim["attrs"]["param_wait_s"] >= 0.0

@@ -101,6 +101,38 @@ def test_blocked_update_matches_reference(kind, cls, kw):
             np.testing.assert_array_equal(p.data, want)
 
 
+@pytest.mark.parametrize("kind,cls,kw", CASES, ids=[f"{c[0]}-{'-'.join(c[2]) or 'plain'}" for c in CASES])
+def test_step_spans_matches_step(kind, cls, kw):
+    """Stepping arbitrary flat spans that tile the arenas, one of them
+    straddling the float64/float32 arena boundary, is bit-identical to
+    ``step()``, step after step (``step_count`` advances once a step)."""
+    rng = np.random.default_rng(5)
+    dtypes = [np.float64, np.float32, np.float64, np.float32]
+    init = [rng.standard_normal(s).astype(dt) for s, dt in zip(SIZES, dtypes)]
+    whole = [Tensor(a.copy(), requires_grad=True) for a in init]
+    spans = [Tensor(a.copy(), requires_grad=True) for a in init]
+    opt_whole, opt_spans = cls(whole, lr=0.01, **kw), cls(spans, lr=0.01, **kw)
+    order = [0, 2, 1, 3]  # arena_order: the float64 arena, then the float32 one
+    edge = init[0].size + init[2].size
+    n = sum(a.size for a in init)
+    for _ in range(4):
+        grads = [rng.standard_normal(a.shape).astype(a.dtype) for a in init]
+        for p, g in zip(whole, grads):
+            p.grad = g
+        opt_whole.step()
+        flat = np.concatenate([grads[i].ravel() for i in order])
+        for flo, fhi, _, g in opt_spans.flat_views(0, n):
+            g[...] = flat[flo:fhi]
+        inner = [c for c in rng.integers(1, n, 5).tolist() if not edge - 7 <= c <= edge + 9]
+        cuts = sorted({0, n, edge - 7, edge + 9, *inner})
+        parts = list(zip(cuts, cuts[1:]))
+        assert (edge - 7, edge + 9) in parts
+        opt_spans.step_spans(rng.permutation(parts).tolist())
+        assert opt_spans.step_count == opt_whole.step_count
+        for p, q in zip(whole, spans):
+            np.testing.assert_array_equal(p.data, q.data)
+
+
 def test_gradless_parameter_keeps_moments_frozen():
     p, q = (Tensor(np.ones(BLOCK + 3), requires_grad=True) for _ in range(2))
     opt = Adam([p, q], lr=0.1)
